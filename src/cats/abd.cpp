@@ -126,6 +126,8 @@ ConsistentABD::ConsistentABD() {
     fields["stale_view_nacks"] = std::to_string(counters_.stale_view_nacks);
     fields["fast_retries"] = std::to_string(counters_.fast_retries);
     fields["stale_view_acks_dropped"] = std::to_string(counters_.stale_view_acks_dropped);
+    fields["lookups_sent"] = std::to_string(counters_.lookups_sent);
+    fields["lookups_cached"] = std::to_string(counters_.lookups_cached);
     trigger(make_event<StatusResponse>(req.id, "ConsistentABD", std::move(fields)), status_);
   });
 }
@@ -150,10 +152,12 @@ protocol::Proto<void> ConsistentABD::run_op(OpId internal) {
   } guard{this, internal};
   Op& op = ops_.at(internal);
   for (;;) {
-    // One deadline spans the whole attempt (lookup + read + write); arming a
-    // fresh one auto-cancels the previous attempt's through the Timer port.
+    // One deadline spans the whole attempt (lookup, unless the first attempt
+    // finds the group cached, then read + write); arming a fresh one
+    // auto-cancels the previous attempt's through the Timer port.
     auto deadline = co_await protocol::arm_timer(timer_, params_.op_timeout_ms);
-    bool ok = co_await lookup_round(internal, deadline);
+    bool ok = op.attempt == 0 && use_cached_view(op);
+    if (!ok) ok = co_await lookup_round(internal, deadline);
     if (ok && !(op.type == OpType::kPut && op.tag_chosen)) {
       // (A retried put whose tag is already fixed goes straight to idempotent
       // write retransmission; a fresh read phase must not re-tag the value.)
@@ -172,6 +176,10 @@ protocol::Proto<void> ConsistentABD::run_op(OpId internal) {
       --op.retries_left;
       ++op.attempt;  // stale wire ids stop matching any round's predicates
       ++counters_.retries;
+      // The failed attempt may have run on a stale cached view: forget it,
+      // so neither this retry nor other ops on the range reuse it.
+      auto cached = cached_covering(op.key);
+      if (cached != view_cache_.end()) view_cache_.erase(cached);
       continue;  // fresh group lookup, fresh quorum rounds
     }
     switch (op.phase) {
@@ -204,6 +212,7 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
   auto responses = co_await router_.open<LookupResponse>(
       [wid](const LookupResponse& r) { return r.id == wid; });
   trigger(make_event<LookupRequest>(wid, op.key, params_.replication_degree), router_);
+  ++counters_.lookups_sent;
   for (;;) {
     auto got = co_await protocol::when_any(responses.next(), deadline.wait());
     if (got.index() == 1) co_return false;  // attempt deadline
@@ -218,11 +227,53 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
       // emulation deliberately re-opens that window, params.hpp.)
       continue;
     }
-    op.group = resp.group;
-    op.view = resp.view_version;
-    op.quorum = op.group.size() / 2 + 1;
+    adopt_group(op, resp.group, resp.view_version);
+    cache_view(op.key, resp);
     co_return true;
   }
+}
+
+void ConsistentABD::adopt_group(Op& op, const std::vector<NodeRef>& group, std::uint64_t view) {
+  op.group = group;
+  op.view = view;
+  op.quorum = group.size() / 2 + 1;
+}
+
+bool ConsistentABD::use_cached_view(Op& op) {
+  auto it = cached_covering(op.key);
+  if (it == view_cache_.end()) return false;
+  if (now() - it->second.stored_at > params_.op_timeout_ms) {
+    // No older than an answer an uncached attempt could still act on.
+    view_cache_.erase(it);
+    return false;
+  }
+  adopt_group(op, it->second.view.members, it->second.view.version);
+  ++counters_.lookups_cached;
+  return true;
+}
+
+void ConsistentABD::cache_view(RingKey key, const LookupResponse& resp) {
+  // Unversioned answers (no installed view, ring joins, the stale-view bug
+  // emulation) and range-less ones describe this key only: never reused.
+  if (!resp.ranged || resp.view_version == 0) return;
+  GroupView view{resp.lo, resp.hi, resp.view_version, resp.group};
+  if (!view.covers(key)) return;
+  for (auto it = view_cache_.begin(); it != view_cache_.end();) {
+    const GroupView& old = it->second.view;
+    it = old.covers(view.hi) || view.covers(old.hi) ? view_cache_.erase(it) : std::next(it);
+  }
+  const RingKey hi = view.hi;
+  view_cache_[hi] = CachedView{std::move(view), now()};
+}
+
+std::map<RingKey, ConsistentABD::CachedView>::iterator ConsistentABD::cached_covering(
+    RingKey key) {
+  // Entries are disjoint, so the one covering `key` has the smallest hi >= key
+  // — unless its range wraps past zero, which makes its hi the smallest of all.
+  auto it = view_cache_.lower_bound(key);
+  if (it != view_cache_.end() && it->second.view.covers(key)) return it;
+  it = view_cache_.begin();
+  return it != view_cache_.end() && it->second.view.covers(key) ? it : view_cache_.end();
 }
 
 template <class AckMsg>

@@ -26,6 +26,14 @@
 // Operations time out and retry with a fresh group lookup (bounded), then
 // fail — CATS targets "partially synchronous, lossy, partitionable and
 // dynamic networks" (§4).
+//
+// Lookup cache: the coordinator keeps the router's ranged answers (a view's
+// group, version and key range) and runs an op's first attempt on a covered
+// key straight from the cached entry, skipping the routed lookup. Safety never
+// rested on a fresh lookup — replicas ack only their current, unfenced view
+// version — so a stale entry costs a nacked attempt, never a wrong quorum.
+// Retries drop the key's entry and look the group up again; entries older
+// than op_timeout_ms are not used.
 
 #include <functional>
 #include <map>
@@ -75,6 +83,9 @@ class ConsistentABD : public ComponentDefinition {
     // MUST stay 0 — the partition tests assert it (no op may count an ack,
     // let alone commit, under a stale view).
     std::uint64_t stale_view_acks_dropped = 0;
+    // Lookup cache: attempts that sent a router lookup vs. reused an answer.
+    std::uint64_t lookups_sent = 0;
+    std::uint64_t lookups_cached = 0;
   };
   const Counters& counters() const { return counters_; }
   std::size_t store_size() const { return store_.size(); }
@@ -124,6 +135,12 @@ class ConsistentABD : public ComponentDefinition {
     // observed, overwritten, and then resurrect — a checker-found bug).
     bool tag_chosen = false;
     VersionTag chosen_tag{};
+  };
+
+  /// A router answer reusable for every key in (view.lo, view.hi].
+  struct CachedView {
+    GroupView view;
+    TimeMs stored_at = 0;
   };
 
   struct ReconfigTick : timing::Timeout {
@@ -199,6 +216,16 @@ class ConsistentABD : public ComponentDefinition {
   /// Counts a deduplicated nack; true when so many members rejected this
   /// view that a quorum can never form (callers then arm the fast retry).
   bool count_nack(Op& op, const Address& source);
+  /// Sets the group an attempt runs its quorum phases on.
+  static void adopt_group(Op& op, const std::vector<NodeRef>& group, std::uint64_t view);
+  /// First-attempt fast path: adopts a cached answer covering op.key that is
+  /// at most op_timeout_ms old; false (a lookup is due) otherwise.
+  bool use_cached_view(Op& op);
+  /// Stores a lookup answer for `key` if it names a versioned view whose
+  /// range covers the key, replacing every cached entry that overlaps it.
+  void cache_view(RingKey key, const LookupResponse& resp);
+  /// The cached entry covering `key`, or view_cache_.end().
+  std::map<RingKey, CachedView>::iterator cached_covering(RingKey key);
   /// Replies to the client and bumps the outcome counters (the ops_ entry
   /// itself is owned by run_op's RAII guard).
   void complete_op(Op& op, bool ok);
@@ -246,6 +273,7 @@ class ConsistentABD : public ComponentDefinition {
   OpId next_op_ = 1;
   Counters counters_;
   std::vector<std::string> recorded_violations_;
+  std::map<RingKey, CachedView> view_cache_;  // keyed by view.hi; ranges disjoint
 
   // Cached ring neighborhood (drives reconfiguration proposals).
   bool ring_view_received_ = false;

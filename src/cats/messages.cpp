@@ -430,13 +430,20 @@ void do_register() {
         w.u64(msg.key);
         write_node_refs(w, msg.group);
         w.var_u64(msg.view_version);
+        w.boolean(msg.ranged);
+        w.u64(msg.lo);
+        w.u64(msg.hi);
       },
       [](BufferReader& r, Address s, Address d) -> MessagePtr {
         const OpId op = r.var_u64();
         const RingKey key = r.u64();
         auto group = read_node_refs(r);
-        return std::make_shared<const LookupResultMsg>(s, d, op, key, std::move(group),
-                                                       r.var_u64());
+        const std::uint64_t version = r.var_u64();
+        const bool ranged = r.boolean();
+        const RingKey lo = r.u64();
+        const RingKey hi = r.u64();
+        return std::make_shared<const LookupResultMsg>(s, d, op, key, std::move(group), version,
+                                                       ranged, lo, hi);
       });
 
   reg.register_message<BootstrapRequestMsg>(

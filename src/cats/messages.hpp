@@ -258,12 +258,23 @@ class LookupResultMsg : public Message {
 
  public:
   LookupResultMsg(Address s, Address d, OpId op, RingKey key, std::vector<NodeRef> group,
-                  std::uint64_t view_version = 0)
-      : Message(s, d), op(op), key(key), group(std::move(group)), view_version(view_version) {}
+                  std::uint64_t view_version = 0, bool ranged = false, RingKey lo = 0,
+                  RingKey hi = 0)
+      : Message(s, d),
+        op(op),
+        key(key),
+        group(std::move(group)),
+        view_version(view_version),
+        ranged(ranged),
+        lo(lo),
+        hi(hi) {}
   OpId op;
   RingKey key;
   std::vector<NodeRef> group;
   std::uint64_t view_version;
+  bool ranged;  ///< answered from an installed view covering (lo, hi]
+  RingKey lo;
+  RingKey hi;
 };
 
 // ---- consistent-quorum view reconfiguration ---------------------------------

@@ -175,8 +175,15 @@ class LookupResponse : public Event {
 
  public:
   LookupResponse(OpId id, RingKey key, std::vector<NodeRef> group,
-                 std::uint64_t view_version = 0)
-      : id(id), key(key), group(std::move(group)), view_version(view_version) {}
+                 std::uint64_t view_version = 0, bool ranged = false, RingKey lo = 0,
+                 RingKey hi = 0)
+      : id(id),
+        key(key),
+        group(std::move(group)),
+        view_version(view_version),
+        ranged(ranged),
+        lo(lo),
+        hi(hi) {}
   OpId id;
   RingKey key;
   std::vector<NodeRef> group;  ///< responsible node first, then its successors
@@ -184,6 +191,12 @@ class LookupResponse : public Event {
   /// operations stamp it on every phase message; replicas reject stale
   /// versions. 0 => no installed view backs this answer (empty group).
   std::uint64_t view_version;
+  /// True when the answer came from an installed view, whose key range
+  /// (lo, hi] it then carries: every key in that range has the same group
+  /// and version, so a coordinator may reuse the answer for them.
+  bool ranged;
+  RingKey lo;
+  RingKey hi;
 };
 
 class Router : public PortType {

@@ -46,14 +46,7 @@ OneHopRouter::OneHopRouter() {
   subscribe<LookupRequest>(router_, [this](const LookupRequest& req) {
     evict_stale();
     if (responsible_for(req.key)) {
-      ++lookups_served_;
-      const GroupView* v = covering_view(req.key);
-      if (v != nullptr) {
-        trigger(make_event<LookupResponse>(req.id, req.key, v->members, v->version), router_);
-      } else {
-        trigger(make_event<LookupResponse>(req.id, req.key, build_group(req.key, req.group_size)),
-                router_);
-      }
+      handle_lookup_at_responsible(self_, req.id, req.key, req.group_size);
       return;
     }
     protocol::spawn(relay_lookup(req.id, req.key, req.group_size));
@@ -96,7 +89,9 @@ protocol::Proto<void> OneHopRouter::relay_lookup(OpId op, RingKey key, std::size
   if (got.index() == 1) co_return;  // no answer: the origin's deadline retries
   const LookupResultMsg& msg = *std::get<0>(got);
   for (const auto& n : msg.group) learn(n);
-  trigger(make_event<LookupResponse>(msg.op, msg.key, msg.group, msg.view_version), router_);
+  trigger(make_event<LookupResponse>(msg.op, msg.key, msg.group, msg.view_version, msg.ranged,
+                                     msg.lo, msg.hi),
+          router_);
 }
 
 void OneHopRouter::learn(const NodeRef& n) {
@@ -229,13 +224,19 @@ void OneHopRouter::handle_lookup_at_responsible(const NodeRef& origin, OpId op, 
                                                 std::size_t group_size) {
   ++lookups_served_;
   const GroupView* v = covering_view(key);
-  auto group = v != nullptr ? v->members : build_group(key, group_size);
-  const std::uint64_t version = v != nullptr ? v->version : 0;
+  // Only an installed view carries its range (coordinators may reuse the
+  // answer across it); a ring-successor group is an answer for this key alone.
+  const bool ranged = v != nullptr;
+  auto group = ranged ? v->members : build_group(key, group_size);
+  const std::uint64_t version = ranged ? v->version : 0;
+  const RingKey lo = ranged ? v->lo : 0;
+  const RingKey hi = ranged ? v->hi : 0;
   if (origin.addr == self_.addr) {
-    trigger(make_event<LookupResponse>(op, key, std::move(group), version), router_);
+    trigger(make_event<LookupResponse>(op, key, std::move(group), version, ranged, lo, hi),
+            router_);
   } else {
     trigger(make_event<LookupResultMsg>(self_.addr, origin.addr, op, key, std::move(group),
-                                        version),
+                                        version, ranged, lo, hi),
             network_);
   }
 }

@@ -258,31 +258,27 @@ void ComponentCore::park(WorkItem* item, bool to_control) {
 
 ComponentCore::WorkItem* ComponentCore::next_item() {
   if (state() == LifecycleState::kDestroyed) {
-    // Drain one unit per call so bookkeeping stays exact. When retired into
-    // a successor (§2.6), application events are forwarded to the matching
-    // port of the replacement instead of dropped.
-    WorkItem* it = nullptr;
-    if (!replay_control_.empty()) {
-      it = replay_control_.front();
-      replay_control_.pop_front();
-    } else if (!replay_normal_.empty()) {
-      it = replay_normal_.front();
-      replay_normal_.pop_front();
-    } else if (!parked_control_.empty()) {
-      it = parked_control_.front();
-      parked_control_.pop_front();
-    } else if (!parked_normal_.empty()) {
-      it = parked_normal_.front();
-      parked_normal_.pop_front();
-    } else if ((it = control_q_.pop()) == nullptr) {
-      it = normal_q_.pop();
+    // Drain everything in one pass: items parked while the component was
+    // passive hold no work ticket, so a pass per ticket could leave them
+    // behind. When retired into a successor (§2.6), application events are
+    // forwarded to the matching port of the replacement instead of dropped.
+    ComponentCorePtr target;
+    {
+      std::lock_guard<std::mutex> g(structure_mu_);
+      target = forward_to_;
     }
-    if (it != nullptr) {
-      ComponentCorePtr target;
-      {
-        std::lock_guard<std::mutex> g(structure_mu_);
-        target = forward_to_;
+    auto take = [this]() -> WorkItem* {
+      for (auto* q : {&replay_control_, &replay_normal_, &parked_control_, &parked_normal_}) {
+        if (!q->empty()) {
+          WorkItem* it = q->front();
+          q->pop_front();
+          return it;
+        }
       }
+      WorkItem* it = control_q_.pop();
+      return it != nullptr ? it : normal_q_.pop();
+    };
+    while (WorkItem* it = take()) {
       if (target != nullptr && !it->control && it->half != nullptr &&
           it->half->owner() == this) {
         PortPair* p = target->find_port(it->half->port_tid(), it->half->port_provided());
@@ -291,8 +287,8 @@ ComponentCore::WorkItem* ComponentCore::next_item() {
           target->enqueue_work(it->event, half, /*control=*/false);
         }
       }
+      work_item_pool().release(it);
     }
-    work_item_pool().release(it);
     return nullptr;
   }
 
@@ -642,6 +638,9 @@ void ComponentCore::retire_into(ComponentCorePtr successor) {
     forward_to_ = std::move(successor);
   }
   destroy_tree();
+  // What the passive component parked holds no work ticket: schedule the
+  // pass that forwards it (queued items bring their own tickets).
+  bump(1);
 }
 
 void ComponentCore::destroy_tree() {

@@ -1,5 +1,6 @@
 #include "timing/thread_timer.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "kompics/kompics.hpp"
@@ -17,7 +18,10 @@ ThreadTimer::ThreadTimer() {
     std::lock_guard<std::mutex> g(mu_);
     // Only record cancellations that a pending heap entry will consume;
     // cancel-after-fire and cancel-of-unknown-id must not leak the id.
-    if (armed_.count(ct.id()) != 0) cancelled_.insert(ct.id());
+    if (armed_.count(ct.id()) == 0) return;
+    cancelled_.insert(ct.id());
+    // Each recorded cancellation pins exactly one heap entry.
+    if (cancelled_.size() > 64 && cancelled_.size() * 2 > heap_.size()) purge_cancelled();
   });
   subscribe<Start>(control(), [this](const Start&) { ensure_thread(); });
   subscribe<Stop>(control(), [this](const Stop&) { stop_thread(); });
@@ -29,9 +33,36 @@ void ThreadTimer::arm(std::int64_t delay_ms, std::int64_t period_ms, TimeoutPtr 
   ensure_thread();
   std::lock_guard<std::mutex> g(mu_);
   ++armed_[payload->id()];
-  heap_.push(Entry{now() + std::max<std::int64_t>(0, delay_ms), seq_++, std::move(payload),
-                   period_ms});
-  cv_.notify_one();
+  const std::int64_t deadline = now() + std::max<std::int64_t>(0, delay_ms);
+  // The timer thread sleeps until the earliest deadline: only a new earliest
+  // one needs to wake it.
+  const bool earliest = heap_.empty() || deadline < heap_.front().deadline_ms;
+  heap_.push_back(Entry{deadline, seq_++, std::move(payload), period_ms});
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  if (earliest) cv_.notify_one();
+}
+
+bool ThreadTimer::retire(const Entry& e) {
+  const TimeoutId id = e.payload->id();
+  auto armed_it = armed_.find(id);
+  if (armed_it != armed_.end() && --armed_it->second == 0) armed_.erase(armed_it);
+  return cancelled_.erase(id) != 0;  // consumed; periodic entries are not re-armed
+}
+
+void ThreadTimer::purge_cancelled() {
+  // Walk in firing order, so each cancellation consumes the entry that would
+  // have popped first — the same one timer_main would have dropped.
+  std::sort(heap_.begin(), heap_.end(), [](const Entry& a, const Entry& b) { return b > a; });
+  std::vector<Entry> kept;
+  kept.reserve(heap_.size() - cancelled_.size());
+  for (Entry& e : heap_) {
+    if (cancelled_.count(e.payload->id()) != 0) {
+      retire(e);
+    } else {
+      kept.push_back(std::move(e));
+    }
+  }
+  heap_ = std::move(kept);  // ascending order is already a valid min-heap
 }
 
 std::size_t ThreadTimer::pending_cancellations() const {
@@ -72,25 +103,21 @@ void ThreadTimer::timer_main() {
       cv_.wait(lock, [this] { return stop_ || !heap_.empty(); });
       continue;
     }
-    const std::int64_t wake = heap_.top().deadline_ms;
+    const std::int64_t wake = heap_.front().deadline_ms;
     const std::int64_t current = now();
     if (current < wake) {
       cv_.wait_for(lock, std::chrono::milliseconds(wake - current));
       continue;
     }
-    Entry e = heap_.top();
-    heap_.pop();
-    const TimeoutId id = e.payload->id();
-    auto armed_it = armed_.find(id);
-    if (armed_it != armed_.end() && --armed_it->second == 0) armed_.erase(armed_it);
-    if (cancelled_.count(id) != 0) {
-      cancelled_.erase(id);  // consumed; periodic entries are not re-armed
-      continue;
-    }
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    Entry e = std::move(heap_.back());
+    heap_.pop_back();
+    if (retire(e)) continue;
     if (e.period_ms >= 0) {
-      ++armed_[id];
-      heap_.push(Entry{e.deadline_ms + std::max<std::int64_t>(1, e.period_ms), seq_++, e.payload,
-                       e.period_ms});
+      ++armed_[e.payload->id()];
+      heap_.push_back(Entry{e.deadline_ms + std::max<std::int64_t>(1, e.period_ms), seq_++,
+                            e.payload, e.period_ms});
+      std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
     TimeoutPtr payload = e.payload;
     lock.unlock();

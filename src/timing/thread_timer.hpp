@@ -3,12 +3,14 @@
 // ThreadTimer: the production Timer provider (the paper's "JavaTimer").
 // A dedicated thread sleeps on a min-heap of deadlines and triggers the
 // scheduled Timeout events back through the provided Timer port. Periodic
-// timeouts re-arm themselves until cancelled.
+// timeouts re-arm themselves until cancelled. A cancelled entry stays in the
+// heap until it pops, unless cancelled entries come to fill more than half
+// of it: then the heap is rebuilt without them, so an op deadline armed and
+// cancelled per request does not leave ops/s x timeout entries behind.
 
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -49,6 +51,11 @@ class ThreadTimer : public ComponentDefinition {
 
   void timer_main();
   void arm(std::int64_t delay_ms, std::int64_t period_ms, TimeoutPtr payload);
+  /// Accounts for an entry leaving the heap; true if a cancellation consumed
+  /// it (it must not fire). Caller holds mu_.
+  bool retire(const Entry& e);
+  /// Rebuilds the heap without its cancelled entries. Caller holds mu_.
+  void purge_cancelled();
   void ensure_thread();
   void stop_thread();
 
@@ -56,7 +63,7 @@ class ThreadTimer : public ComponentDefinition {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  // min-heap under std::greater<>
   std::unordered_set<TimeoutId> cancelled_;
   // id -> number of heap entries carrying it. Lets the cancel path tell a
   // pending timeout (record the cancellation) from one that already fired

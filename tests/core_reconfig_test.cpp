@@ -5,8 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
 #include <numeric>
+#include <thread>
 
 #include "kompics/kompics.hpp"
 
@@ -268,6 +272,101 @@ TEST(Reconfiguration, ReplaceUnderLiveTrafficDropsNothing) {
     for (int i = 0; i < 50; ++i) expect.push_back(round * 1000 + i);
   }
   std::sort(expect.begin(), expect.end());
+  EXPECT_EQ(payloads, expect);
+}
+
+// The interleaving behind that test's rare losses, forced: the old relay
+// stops with events still queued and parks them (a passive component does
+// not run them) before its parent handles Stopped and retires it. Parked
+// events hold no work ticket, so retiring must itself schedule the pass
+// that forwards them to the replacement.
+
+class Block : public Event {};
+
+class BlockPort : public PortType {
+ public:
+  BlockPort() {
+    set_name("Block");
+    negative<Block>();
+  }
+};
+
+/// Busy-waits until `gate` reads 2, after setting it to 1 to say so.
+void hold_at(std::atomic<int>& gate) {
+  gate.store(1);
+  while (gate.load() != 2) std::this_thread::yield();
+}
+
+/// Relays Num(n) -> Num(n + 1'000'000); with a gate, the first handler
+/// holds its worker at it.
+class GatedRelay : public ComponentDefinition {
+ public:
+  explicit GatedRelay(std::atomic<int>* gate) : gate_(gate) {
+    subscribe<Num>(upstream_, [this](const Num& m) {
+      if (gate_ != nullptr && gate_->load() == 0) hold_at(*gate_);
+      trigger(make_event<Num>(m.n + 1'000'000), downstream_);
+    });
+  }
+
+ private:
+  std::atomic<int>* gate_;
+  Positive<NumPort> upstream_ = require<NumPort>();
+  Negative<NumPort> downstream_ = provide<NumPort>();
+};
+
+class GatedRelayMain : public ComponentDefinition {
+ public:
+  GatedRelayMain(std::atomic<int>* relay_gate, std::atomic<int>* main_gate) {
+    source = create<Source>();
+    relay = create<GatedRelay>(relay_gate);
+    collector = create<Collector>();
+    connect(source.provided<NumPort>(), relay.required<NumPort>());
+    connect(relay.provided<NumPort>(), collector.required<NumPort>());
+    subscribe<Block>(block_, [main_gate](const Block&) { hold_at(*main_gate); });
+  }
+  void swap_relay() { relay = replace<GatedRelay>(relay, nullptr, nullptr); }
+
+  Component source, relay, collector;
+
+ private:
+  Negative<BlockPort> block_ = provide<BlockPort>();
+};
+
+TEST(Reconfiguration, EventsParkedByTheStoppedComponentReachItsReplacement) {
+  auto rt = Runtime::threaded(Config{}, 2, 3);
+  std::atomic<int> relay_gate{0};
+  std::atomic<int> main_gate{0};
+  auto main = rt->bootstrap<GatedRelayMain>(&relay_gate, &main_gate);
+  auto& def = main.definition_as<GatedRelayMain>();
+  rt->await_quiescence();
+  auto wait_for = [](const std::function<bool()>& cond) {
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (!cond() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    return cond();
+  };
+
+  // One worker holds the parent, so it cannot handle Stopped yet; the other
+  // holds the relay inside its first Num with the other 49 queued behind it.
+  main.provided<BlockPort>().core->trigger(make_event<Block>());
+  ASSERT_TRUE(wait_for([&] { return main_gate.load() == 1; }));
+  def.source.definition_as<Source>().emit(0, 50);
+  ASSERT_TRUE(wait_for([&] { return relay_gate.load() == 1; }));
+  const Component old_relay = def.relay;
+  def.swap_relay();  // queues Stop behind the relay's running handler
+  relay_gate.store(2);
+  // The relay runs Stop (control first), goes passive and parks the rest.
+  ASSERT_TRUE(wait_for([&] { return old_relay.core()->work_count() == 0; }));
+  main_gate.store(2);
+  rt->await_quiescence();
+
+  const auto& seen = def.collector.definition_as<Collector>().seen;
+  std::vector<int> payloads;
+  for (int v : seen) payloads.push_back(v - 1'000'000);
+  std::sort(payloads.begin(), payloads.end());
+  std::vector<int> expect(50);
+  std::iota(expect.begin(), expect.end(), 0);
   EXPECT_EQ(payloads, expect);
 }
 

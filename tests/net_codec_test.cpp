@@ -5,6 +5,7 @@
 
 #include <random>
 
+#include "cats/messages.hpp"
 #include "net/buffer.hpp"
 #include "net/compression.hpp"
 #include "net/serialization.hpp"
@@ -162,6 +163,32 @@ TEST(Serialization, RoundTrip) {
   EXPECT_EQ(q->destination(), p.destination());
   EXPECT_EQ(q->n, 77u);
   EXPECT_EQ(q->text, "hello");
+}
+
+TEST(Serialization, LookupResultKeepsViewRange) {
+  cats::register_cats_serializers();
+  const std::vector<cats::NodeRef> group{{10, Address::node(10)}, {20, Address::node(20)}};
+  const cats::LookupResultMsg m(Address::node(1), Address::node(2), 77, 555, group, 4, true,
+                                100, 900);
+  Bytes wire;
+  SerializationRegistry::instance().serialize(m, wire);
+  auto back = SerializationRegistry::instance().deserialize(wire);
+  const auto* q = dynamic_cast<const cats::LookupResultMsg*>(back.get());
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->op, 77u);
+  EXPECT_EQ(q->key, 555u);
+  EXPECT_EQ(q->group, group);
+  EXPECT_EQ(q->view_version, 4u);
+  EXPECT_TRUE(q->ranged);
+  EXPECT_EQ(q->lo, 100u);
+  EXPECT_EQ(q->hi, 900u);
+  // A frame cut anywhere inside the range fields (flag + two u64) is
+  // rejected instead of read past its end.
+  for (std::size_t cut = 1; cut <= 17; ++cut) {
+    const Bytes truncated(wire.begin(), wire.end() - static_cast<std::ptrdiff_t>(cut));
+    EXPECT_THROW(SerializationRegistry::instance().deserialize(truncated), std::runtime_error)
+        << "cut " << cut << " bytes";
+  }
 }
 
 class Unregistered : public Message {

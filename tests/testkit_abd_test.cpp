@@ -23,10 +23,11 @@ using testkit::TestContext;
 using testkit::TestProbe;
 
 struct AbdDslTest : ::testing::Test {
-  AbdDslTest() {
+  explicit AbdDslTest(bool inject_stale_view_bug = false) {
     CatsParams params;
     params.op_timeout_ms = 1000;
     params.op_max_retries = 2;
+    params.inject_stale_view_bug = inject_stale_view_bug;
     ctx = std::make_unique<TestContext>(9, [this, params](TestProbe& p, sim::SimulatorCore&) {
       Component abd = p.make<ConsistentABD>();
       abd.control()->trigger(make_event<ConsistentABD::Init>(self, params));
@@ -51,6 +52,38 @@ struct AbdDslTest : ::testing::Test {
   }
 
   ConsistentABD& abd() { return ctx->cut().definition_as<ConsistentABD>(); }
+
+  // Expects the pending op's LookupRequest and answers it with `group` under
+  // `version`, carrying the view range (lo, hi] when `ranged`.
+  TestContext& answer_lookup(std::uint64_t version, bool ranged, RingKey lo = 0, RingKey hi = 0) {
+    auto req = std::make_shared<LookupRequest>(0, 0, 0);
+    return ctx->expect<LookupRequest>(router, [req](const LookupRequest& r) { *req = r; })
+        .trigger(router, [this, req, version, ranged, lo, hi] {
+          return make_event<LookupResponse>(req->id, req->key, group, version, ranged, lo, hi);
+        });
+  }
+
+  // Expects the pending get's three reads, all under `view`, and answers two
+  // of them from empty replicas: the get completes with nothing to write back.
+  TestContext& empty_get_completes(OpId id, std::uint64_t view) {
+    auto reads = std::make_shared<std::vector<AbdReadMsg>>();
+    return ctx->repeat(3)
+        .expect<AbdReadMsg>(net, [reads](const AbdReadMsg& m) { reads->push_back(m); })
+        .end_repeat()
+        .exec([reads, view] {
+          ASSERT_EQ(reads->size(), 3u);
+          for (const auto& r : *reads) EXPECT_EQ(r.view, view);
+        })
+        .trigger(net, [this, reads] {
+          return read_ack(reads->at(0), VersionTag{}, false, {}, Address::node(10));
+        })
+        .trigger(net, [this, reads] {
+          return read_ack(reads->at(1), VersionTag{}, false, {}, Address::node(20));
+        })
+        .expect<GetResponse>(putget, [id](const GetResponse& r) {
+          return r.ok && r.id == id && !r.found;
+        });
+  }
 
   NodeRef self{100, Address::node(1)};
   // The coordinator is NOT a group member here — the protocol must not care.
@@ -165,6 +198,132 @@ TEST_F(AbdDslTest, DuplicatedAcksFromOneReplicaDoNotCompleteQuorum) {
       .expect_silence(150)
       .trigger(net, [&] { return write_ack(writes[1], Address::node(20)); })
       .expect<PutResponse>(putget, [](const PutResponse& r) { return r.ok && r.id == 9; });
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+// ---- coordinator lookup cache --------------------------------------------
+
+TEST_F(AbdDslTest, RangedAnswerLetsTheNextOpSkipTheLookup) {
+  ctx->trigger(putget, make_event<GetRequest>(1, 7));
+  answer_lookup(3, true, 0, 1000);
+  empty_get_completes(1, 3);
+  // Another key of the same range: straight to the reads, under the cached
+  // version — a LookupRequest here would not match the script.
+  ctx->trigger(putget, make_event<GetRequest>(2, 500));
+  empty_get_completes(2, 3);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().lookups_sent, 1u);
+  EXPECT_EQ(abd().counters().lookups_cached, 1u);
+}
+
+TEST_F(AbdDslTest, NackedCachedViewIsLookedUpAgainAndReplaced) {
+  std::vector<AbdReadMsg> reads;
+  LookupRequest retry{0, 0, 0};
+  LookupRequest other{0, 0, 0};
+  auto answer_v2 = [this](const LookupRequest& r) {
+    return make_event<LookupResponse>(r.id, r.key, group, 2, true, 0, 1000);
+  };
+  ctx->trigger(putget, make_event<GetRequest>(1, 7));
+  answer_lookup(1, true, 0, 1000);
+  empty_get_completes(1, 1);
+  // The range moved to v2 since: replicas nack the cached v1, which makes a
+  // quorum infeasible, and the fast retry resolves the group afresh.
+  ctx->trigger(putget, make_event<GetRequest>(2, 7))
+      .repeat(3)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { reads.push_back(m); })
+      .end_repeat()
+      .exec([&] { EXPECT_EQ(reads.at(0).view, 1u) << "first attempt runs on the cached view"; })
+      .trigger(net, [&] {
+        return make_event<AbdNackMsg>(Address::node(10), self.addr, reads.at(0).op, 7, 2);
+      })
+      .trigger(net, [&] {
+        return make_event<AbdNackMsg>(Address::node(20), self.addr, reads.at(1).op, 7, 2);
+      })
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { retry = r; })
+      // The retry dropped the entry for every op on the range, not just its own.
+      .trigger(putget, make_event<GetRequest>(3, 9))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { other = r; })
+      .trigger(router, [&] { return answer_v2(retry); });
+  empty_get_completes(2, 2);
+  ctx->trigger(router, [&] { return answer_v2(other); });
+  empty_get_completes(3, 2);
+  // The fresh answer replaced the entry: the next op reuses v2.
+  ctx->trigger(putget, make_event<GetRequest>(4, 11));
+  empty_get_completes(4, 2);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().fast_retries, 1u);
+  EXPECT_EQ(abd().counters().lookups_sent, 3u);
+  EXPECT_EQ(abd().counters().lookups_cached, 2u);
+}
+
+TEST_F(AbdDslTest, AnswersWithoutRangeOrVersionAreNotCached) {
+  ctx->trigger(putget, make_event<GetRequest>(1, 7));
+  answer_lookup(1, false);
+  empty_get_completes(1, 1);
+  // No range: the next op on the key looks it up again. Its first answer is
+  // ranged but unversioned, which the coordinator neither runs on nor keeps.
+  LookupRequest lookup{0, 0, 0};
+  ctx->trigger(putget, make_event<GetRequest>(2, 7))
+      .expect<LookupRequest>(router, [&](const LookupRequest& r) { lookup = r; })
+      .trigger(router, [&] {
+        return make_event<LookupResponse>(lookup.id, lookup.key, group, 0, true, 0, 1000);
+      })
+      .trigger(router, [&] { return make_event<LookupResponse>(lookup.id, lookup.key, group, 1); });
+  empty_get_completes(2, 1);
+  ctx->trigger(putget, make_event<GetRequest>(3, 7)).expect<LookupRequest>(router);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().lookups_cached, 0u);
+}
+
+TEST_F(AbdDslTest, CachedAnswerOlderThanTheOpTimeoutIsNotUsed) {
+  ctx->trigger(putget, make_event<GetRequest>(1, 7));
+  answer_lookup(1, true, 0, 1000);
+  empty_get_completes(1, 1);
+  ctx->expect_silence(1100);  // op_timeout_ms is 1000
+  ctx->trigger(putget, make_event<GetRequest>(2, 7));
+  answer_lookup(1, true, 0, 1000);
+  empty_get_completes(2, 1);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().lookups_sent, 2u);
+  EXPECT_EQ(abd().counters().lookups_cached, 0u);
+}
+
+TEST_F(AbdDslTest, StoredAnswerEvictsTheRangesItOverlaps) {
+  ctx->trigger(putget, make_event<GetRequest>(1, 7));
+  answer_lookup(1, true, 0, 1000);
+  empty_get_completes(1, 1);
+  // A key outside (0, 1000] misses; its answer (500, 3000] overlaps the
+  // cached range, which must go — else two entries would claim key 700.
+  ctx->trigger(putget, make_event<GetRequest>(2, 2000));
+  answer_lookup(2, true, 500, 3000);
+  empty_get_completes(2, 2);
+  ctx->trigger(putget, make_event<GetRequest>(3, 7)).expect<LookupRequest>(router);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+struct AbdStaleViewBugDslTest : AbdDslTest {
+  AbdStaleViewBugDslTest() : AbdDslTest(true) {}
+};
+
+TEST_F(AbdStaleViewBugDslTest, UnversionedAnswerRunsButIsNeverCached) {
+  // The bug emulation runs quorum phases under version 0; such an answer
+  // must still not outlive its op, even when it names a range.
+  ctx->trigger(putget, make_event<GetRequest>(1, 7));
+  answer_lookup(0, true, 0, 1000);
+  empty_get_completes(1, 0);
+  ctx->trigger(putget, make_event<GetRequest>(2, 7)).expect<LookupRequest>(router);
 
   const Result result = ctx->check();
   EXPECT_TRUE(result.ok) << result.message;

@@ -172,6 +172,36 @@ TEST_F(TimerFixture, PeriodicCancelDrainsBookkeeping) {
   EXPECT_EQ(timer.armed_timeouts(), 0u) << "cancelled periodic must leave the heap";
 }
 
+TEST_F(TimerFixture, CancelledTimeoutsDoNotPileUpUntilTheirDeadline) {
+  // An op deadline is armed and cancelled per request; with long timeouts
+  // the cancelled entries used to stay in the heap until they came due.
+  auto& timer = main.definition_as<TimerMain>().timer.definition_as<ThreadTimer>();
+  std::vector<TimeoutId> ids;
+  for (int i = 0; i < 10000; ++i) ids.push_back(user->one_shot(60000, i));
+  rt->await_quiescence();
+  EXPECT_EQ(timer.armed_timeouts(), 10000u);
+  for (const TimeoutId id : ids) user->cancel(id);
+  rt->await_quiescence();
+  EXPECT_LE(timer.armed_timeouts(), 64u);
+  EXPECT_LE(timer.pending_cancellations(), 64u);
+  // The rebuilt heap still fires what is left in it.
+  user->one_shot(10, 77);
+  wait_until([&] { return user->fired.load() >= 1; }, 2000);
+  EXPECT_EQ(user->fired.load(), 1);
+  EXPECT_EQ(user->last_tag.load(), 77);
+}
+
+TEST_F(TimerFixture, TimeoutKeptThroughAHeapRebuildStaysCancellable) {
+  const TimeoutId survivor = user->one_shot(200, 1);
+  std::vector<TimeoutId> ids;
+  for (int i = 0; i < 100; ++i) ids.push_back(user->one_shot(60000, 0));
+  for (const TimeoutId id : ids) user->cancel(id);  // the 65th rebuilds the heap
+  user->cancel(survivor);
+  rt->await_quiescence();
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  EXPECT_EQ(user->fired.load(), 0) << "the rebuild lost track of the survivor's entry";
+}
+
 TEST(TimerIds, FreshTimeoutIdsAreUnique) {
   const auto a = fresh_timeout_id();
   const auto b = fresh_timeout_id();
