@@ -54,6 +54,7 @@ namespace kompics::cats {
 class ConsistentABD : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(ConsistentABD::Init, kompics::Init);
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;
@@ -144,6 +145,7 @@ class ConsistentABD : public ComponentDefinition {
   };
 
   struct ReconfigTick : timing::Timeout {
+    KOMPICS_EVENT(ConsistentABD::ReconfigTick, timing::Timeout);
     using Timeout::Timeout;
   };
 

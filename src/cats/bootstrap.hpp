@@ -22,6 +22,7 @@ namespace kompics::cats {
 class BootstrapServer : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(BootstrapServer::Init, kompics::Init);
     Init(Address self, CatsParams params) : self(self), params(params) {}
     Address self;
     CatsParams params;
@@ -34,6 +35,7 @@ class BootstrapServer : public ComponentDefinition {
 
  private:
   struct EvictionRound : timing::Timeout {
+    KOMPICS_EVENT(BootstrapServer::EvictionRound, timing::Timeout);
     using Timeout::Timeout;
   };
 
@@ -55,6 +57,7 @@ class BootstrapServer : public ComponentDefinition {
 class BootstrapClient : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(BootstrapClient::Init, kompics::Init);
     Init(NodeRef self, Address server, CatsParams params)
         : self(self), server(server), params(params) {}
     NodeRef self;

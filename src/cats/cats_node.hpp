@@ -45,6 +45,7 @@ class CatsNode : public ComponentDefinition {
   Positive<timing::Timer> timer_ = require<timing::Timer>();
 
   struct JoinCheck : timing::Timeout {
+    KOMPICS_EVENT(CatsNode::JoinCheck, timing::Timeout);
     using Timeout::Timeout;
   };
 

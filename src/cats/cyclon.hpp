@@ -22,6 +22,7 @@ namespace kompics::cats {
 class CyclonOverlay : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(CyclonOverlay::Init, kompics::Init);
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;
@@ -33,6 +34,7 @@ class CyclonOverlay : public ComponentDefinition {
 
  private:
   struct ShuffleRound : timing::Timeout {
+    KOMPICS_EVENT(CyclonOverlay::ShuffleRound, timing::Timeout);
     using Timeout::Timeout;
   };
 

@@ -22,6 +22,7 @@ namespace kompics::cats {
 class PingFailureDetector : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(PingFailureDetector::Init, kompics::Init);
     Init(Address self, CatsParams params) : self(self), params(params) {}
     Address self;
     CatsParams params;
@@ -46,6 +47,7 @@ class PingFailureDetector : public ComponentDefinition {
   };
 
   struct PingRound : timing::Timeout {
+    KOMPICS_EVENT(PingFailureDetector::PingRound, timing::Timeout);
     using Timeout::Timeout;
   };
 

@@ -26,6 +26,7 @@ namespace kompics::cats {
 class CatsRing : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(CatsRing::Init, kompics::Init);
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;
@@ -60,9 +61,11 @@ class CatsRing : public ComponentDefinition {
 
  private:
   struct StabilizeRound : timing::Timeout {
+    KOMPICS_EVENT(CatsRing::StabilizeRound, timing::Timeout);
     using Timeout::Timeout;
   };
   struct JoinRetry : timing::Timeout {
+    KOMPICS_EVENT(CatsRing::JoinRetry, timing::Timeout);
     using Timeout::Timeout;
   };
 

@@ -30,6 +30,7 @@ namespace kompics::cats {
 class OneHopRouter : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(OneHopRouter::Init, kompics::Init);
     Init(NodeRef self, CatsParams params) : self(self), params(params) {}
     NodeRef self;
     CatsParams params;

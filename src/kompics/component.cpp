@@ -365,15 +365,10 @@ void ComponentCore::execute() {
 const std::vector<SubscriptionRef>& ComponentCore::matching_subs_cached(PortCore* half,
                                                                         const Event& e) {
   // Consumer-only (called from run_item under the single-consumer
-  // discipline), so match_cache_/scratch_subs_ need no lock.
+  // discipline), so match_cache_ needs no lock. Every subscription target is
+  // registered, so all events reporting one TypeId match the same
+  // subscriptions and the id is a sound cache key (event.hpp).
   const EventTypeId eid = e.kompics_type_id();
-  if (!detail::type_id_is_exact(eid, e)) {
-    // The dynamic type is unregistered (it reports a registered ancestor's
-    // id, or the root id): a per-id cache entry would conflate distinct
-    // types, so re-match directly. scratch_subs_ keeps its capacity.
-    half->matching_subscriptions_into(this, e, scratch_subs_);
-    return scratch_subs_;
-  }
   // Epoch BEFORE scan (port.hpp contract): if a later lookup sees the same
   // epoch, the table cannot have changed since this entry was built.
   const std::uint64_t epoch = half->sub_epoch();

@@ -293,7 +293,6 @@ class ComponentCore : public std::enable_shared_from_this<ComponentCore> {
   };
   static constexpr std::size_t kMatchCacheMax = 1024;
   std::unordered_map<MatchKey, MatchEntry, MatchKeyHash> match_cache_;  // consumer-only
-  std::vector<SubscriptionRef> scratch_subs_;                           // consumer-only
   std::atomic<LifecycleState> state_{LifecycleState::kPassive};
   std::atomic<bool> needs_init_{false};
   bool init_done_ = false;  // consumer-only
@@ -418,19 +417,6 @@ class ComponentDefinition {
   PortCore* control() const { return core_->control_inside(); }
 
   // ---- subscriptions (§2.1, §2.2) ---------------------------------------
-  template <class E>
-  SubscriptionRef subscribe(const Handler<E>& h, PortCore* half) {
-    return subscribe_impl<E>(half, [&h](const E& e) { h(e); });
-  }
-  template <class E, class PT>
-  SubscriptionRef subscribe(const Handler<E>& h, Positive<PT> p) {
-    return subscribe(h, p.core);
-  }
-  template <class E, class PT>
-  SubscriptionRef subscribe(const Handler<E>& h, Negative<PT> p) {
-    return subscribe(h, p.core);
-  }
-
   /// Inline-lambda form: subscribe<EventType>(port, [this](const E&) {...}).
   template <class E, class F>
   SubscriptionRef subscribe(PortCore* half, F&& fn) {
@@ -527,16 +513,11 @@ class ComponentDefinition {
  private:
   template <class E, class F>
   SubscriptionRef subscribe_impl(PortCore* half, F&& fn) {
-    static_assert(std::is_base_of_v<Event, E>, "E must derive from kompics::Event");
+    detail::require_registered<E>();
     auto sub = std::make_shared<Subscription>();
     sub->subscriber = core_;
     sub->half = half;
-    // Registered event types match by integer TypeId ancestor-walk; only
-    // unregistered ones pay the RTTI predicate (event.hpp).
-    sub->event_type = detail::static_type_id_or_invalid<E>();
-    if (sub->event_type == kEventTypeInvalid) {
-      sub->rtti_accepts = [](const Event& e) { return event_is<E>(e); };
-    }
+    sub->event_type = E::kompics_static_type_id();
     sub->invoke = [f = std::function<void(const E&)>(std::forward<F>(fn))](const Event& e) {
       f(event_as<E>(e));
     };

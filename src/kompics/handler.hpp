@@ -1,8 +1,9 @@
 #pragma once
 
 // Event handlers (paper §2.1): first-class procedures of a component. A
-// handler accepts events of a particular type (and subtypes) and runs
-// reactively when such an event arrives on a port it is subscribed to.
+// handler accepts events of a particular registered type (and subtypes) and
+// runs reactively when such an event arrives on a port it is subscribed to.
+// Components attach handlers with subscribe<E>(port, fn) (component.hpp).
 // Handlers of one component instance are mutually exclusive — the runtime
 // never executes two handlers of the same component concurrently — so
 // handlers may freely mutate component-local state.
@@ -18,59 +19,22 @@ namespace kompics {
 class ComponentCore;
 class PortCore;
 
-/// Typed, first-class handler. Declared as a component member:
-///
-///   Handler<Message> handle_msg{[this](const Message& m) { ++messages_; }};
-///
-/// and attached with subscribe(handle_msg, port).
-template <class E>
-class Handler {
- public:
-  using Fn = std::function<void(const E&)>;
-
-  Handler() = default;
-  explicit Handler(Fn fn) : fn_(std::move(fn)) {}
-  Handler& operator=(Fn fn) {
-    fn_ = std::move(fn);
-    return *this;
-  }
-
-  void operator()(const E& e) const { fn_(e); }
-  bool valid() const { return static_cast<bool>(fn_); }
-
- private:
-  Fn fn_;
-};
-
 /// Runtime representation of one subscription: binds an accepted event type
 /// and an invoker to (subscriber component, port half). Created by
 /// ComponentDefinition::subscribe and kept alive by the port's subscription
-/// table. For events in the type registry the accept check is an integer
-/// ancestor-walk on `event_type`; subscriptions for unregistered event
-/// types carry the RTTI fallback predicate instead.
+/// table. The accept check is an integer ancestor-walk on `event_type`.
 struct Subscription {
   ComponentCore* subscriber = nullptr;
   PortCore* half = nullptr;
-  /// TypeId of the subscribed event type; kEventTypeInvalid when the type
-  /// is unregistered (then `rtti_accepts` decides).
-  EventTypeId event_type = kEventTypeInvalid;
-  std::function<bool(const Event&)> rtti_accepts;
+  EventTypeId event_type = kEventTypeInvalid;  ///< the subscribed event type
   std::function<void(const Event&)> invoke;
   // Cleared under the port's writer lock by unsubscribe but also read
   // lock-free by the executing worker (ComponentCore::run_item), hence
   // atomic.
   std::atomic<bool> active{true};
 
-  bool accepts(const Event& e) const {
-    return event_type != kEventTypeInvalid
-               ? detail::is_ancestor(event_type, e.kompics_type_id())
-               : rtti_accepts(e);
-  }
-  /// Hot-path variant when the caller already fetched the event's TypeId.
-  bool accepts(const Event& e, EventTypeId eid) const {
-    return event_type != kEventTypeInvalid ? detail::is_ancestor(event_type, eid)
-                                           : rtti_accepts(e);
-  }
+  /// True when an event reporting TypeId `eid` is an `event_type`.
+  bool accepts(EventTypeId eid) const { return detail::is_ancestor(event_type, eid); }
 };
 
 using SubscriptionRef = std::shared_ptr<Subscription>;

@@ -52,9 +52,8 @@ PortCore::PortCore(ComponentCore* owner, const PortType* type, Direction polarit
       type_(type),
       polarity_(polarity),
       inside_(inside),
-      // Property of the singleton port type: resolve the RTTI query once
-      // here instead of on every dispatch.
-      control_(dynamic_cast<const ControlPort*>(type) != nullptr),
+      // Every control port uses the singleton ControlPort type.
+      control_(type == &port_type<ControlPort>()),
       subs_(new SubTable),
       chans_(new ChanTable) {}
 
@@ -107,7 +106,7 @@ std::size_t PortCore::dispatch(const EventPtr& e) {
     const EventTypeId eid = e->kompics_type_id();
     const auto snap = subs_.acquire();
     for (const auto& s : snap->subs) {
-      if (!s->active.load(std::memory_order_acquire) || !s->accepts(*e, eid)) continue;
+      if (!s->active.load(std::memory_order_acquire) || !s->accepts(eid)) continue;
       ++matches;
       targets.insert(s->subscriber);
     }
@@ -128,7 +127,7 @@ bool PortCore::has_match(const Event& e) const {
   const EventTypeId eid = e.kompics_type_id();
   const auto snap = subs_.acquire();
   for (const auto& s : snap->subs) {
-    if (s->active.load(std::memory_order_acquire) && s->accepts(e, eid)) return true;
+    if (s->active.load(std::memory_order_acquire) && s->accepts(eid)) return true;
   }
   return false;
 }
@@ -177,7 +176,7 @@ void PortCore::matching_subscriptions_into(ComponentCore* subscriber, const Even
   const auto snap = subs_.acquire();
   for (const auto& s : snap->subs) {
     if (s->subscriber == subscriber && s->active.load(std::memory_order_acquire) &&
-        s->accepts(e, eid)) {
+        s->accepts(eid)) {
       out.push_back(s);
     }
   }

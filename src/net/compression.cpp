@@ -84,6 +84,7 @@ std::size_t compress(const Bytes& in, Bytes& out) {
 Bytes decompress(const std::uint8_t* data, std::size_t size) {
   BufferReader r(data, size);
   const std::uint64_t expected = r.var_u64();
+  if (expected > kMaxFrame) throw std::runtime_error("kz: declared size too large");
   Bytes out;
   out.reserve(expected);
   while (r.remaining() > 0) {
@@ -91,13 +92,16 @@ Bytes decompress(const std::uint8_t* data, std::size_t size) {
     if (tag == 0x00) {
       const std::uint64_t len = r.var_u64();
       if (r.remaining() < len) throw std::runtime_error("kz: truncated literal run");
+      if (len > expected - out.size()) throw std::runtime_error("kz: literal run overruns size");
       out.insert(out.end(), r.cursor(), r.cursor() + len);
       r.skip(len);
     } else if (tag == 0x01) {
       const std::uint64_t distance = r.var_u64();
       const std::uint64_t length = r.var_u64();
       if (distance == 0 || distance > out.size()) throw std::runtime_error("kz: bad distance");
-      if (length < kMinMatch) throw std::runtime_error("kz: bad match length");
+      if (length < kMinMatch || length > expected - out.size()) {
+        throw std::runtime_error("kz: bad match length");
+      }
       // Byte-by-byte copy: overlapping matches (distance < length) replicate.
       std::size_t src = out.size() - distance;
       for (std::uint64_t i = 0; i < length; ++i) out.push_back(out[src + i]);

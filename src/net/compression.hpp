@@ -10,9 +10,18 @@
 //   match       : 0x01 | var_u64 distance | var_u64 length   (length >= 4)
 // The compressed stream is prefixed with var_u64 uncompressed size.
 
+#include <cstddef>
 #include <cstdint>
 
 #include "net/buffer.hpp"
+
+namespace kompics::net {
+
+/// Largest wire frame TcpNetwork accepts, and the largest stream kz expands
+/// to: a peer cannot make a receiver allocate more than this per frame.
+inline constexpr std::size_t kMaxFrame = 64u << 20;
+
+}  // namespace kompics::net
 
 namespace kompics::net::kz {
 
@@ -20,7 +29,8 @@ namespace kompics::net::kz {
 std::size_t compress(const Bytes& in, Bytes& out);
 
 /// Decompresses a stream produced by compress. Throws std::runtime_error on
-/// malformed input.
+/// malformed input, including a declared size above kMaxFrame and any token
+/// that would write past the declared size.
 Bytes decompress(const std::uint8_t* data, std::size_t size);
 inline Bytes decompress(const Bytes& in) { return decompress(in.data(), in.size()); }
 

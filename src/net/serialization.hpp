@@ -43,6 +43,7 @@ class SerializationRegistry {
   template <class T>
   void register_message(std::uint64_t wire_id, Encode encode, Decode decode) {
     static_assert(std::is_base_of_v<Message, T>, "T must derive from net::Message");
+    kompics::detail::require_registered<T>();
     std::lock_guard<std::mutex> g(mu_);
     if (by_id_.count(wire_id) != 0) {
       // Idempotent re-registration of the same type is fine (static init in

@@ -23,7 +23,6 @@ namespace {
 
 constexpr std::uint8_t kFlagCompressed = 0x01;
 constexpr std::uint8_t kFlagTraced = 0x02;  ///< TraceTrailer appended after the body
-constexpr std::size_t kMaxFrame = 64u << 20;  // 64 MiB sanity bound
 
 void set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -166,8 +165,7 @@ void TcpNetwork::post_send(const Message& m) {
   bool failed = false;
   of.bytes = frame_message(m, trailer_ptr, &failed);
   if (failed) {
-    std::lock_guard<std::mutex> g(counters_mu_);
-    ++counters_.send_failures;
+    counters_.send_failures.fetch_add(1, std::memory_order_relaxed);
     return;
   }
   queued_frames_.fetch_add(1, std::memory_order_relaxed);
@@ -221,8 +219,7 @@ void TcpNetwork::io_handle_listener() {
     ev.data.fd = fd;
     ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev);
     conns_[fd].registered = true;
-    std::lock_guard<std::mutex> g(counters_mu_);
-    ++counters_.connections_accepted;
+    counters_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
   }
 }
 
@@ -245,8 +242,7 @@ void TcpNetwork::io_process_outgoing_queue() {
       trigger(make_event<SendFailed>(nullptr, "connect to " + dest.to_string() + " failed"),
               netctl_);
       queued_frames_.fetch_sub(1, std::memory_order_relaxed);
-      std::lock_guard<std::mutex> g(counters_mu_);
-      ++counters_.send_failures;
+      counters_.send_failures.fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     c.outbox.push_back(std::move(frame));
@@ -289,11 +285,8 @@ TcpNetwork::Conn& TcpNetwork::io_conn_for(const Address& dest) {
   conns_[fd].registered = true;
   const bool reconnect = seen_peers_.count(dest) != 0;
   seen_peers_[dest] = true;
-  {
-    std::lock_guard<std::mutex> g(counters_mu_);
-    ++counters_.connections_opened;
-    if (reconnect) ++counters_.reconnects;
-  }
+  counters_.connections_opened.fetch_add(1, std::memory_order_relaxed);
+  if (reconnect) counters_.reconnects.fetch_add(1, std::memory_order_relaxed);
   return conns_[fd];
 }
 
@@ -333,10 +326,7 @@ void TcpNetwork::io_flush_writes(Conn& c) {
       io_close_conn(c.fd, "send failed");
       return;
     }
-    {
-      std::lock_guard<std::mutex> g(counters_mu_);
-      counters_.bytes_sent += static_cast<std::uint64_t>(n);
-    }
+    counters_.bytes_sent.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
     c.out_offset += static_cast<std::size_t>(n);
     if (c.out_offset == front.bytes.size()) {
       if (front.trace_id != 0) {
@@ -353,8 +343,7 @@ void TcpNetwork::io_flush_writes(Conn& c) {
       queued_frames_.fetch_sub(1, std::memory_order_relaxed);
       c.outbox.pop_front();
       c.out_offset = 0;
-      std::lock_guard<std::mutex> g(counters_mu_);
-      ++counters_.messages_sent;
+      counters_.messages_sent.fetch_add(1, std::memory_order_relaxed);
     }
   }
   // Keep EPOLLOUT armed only while there is pending output.
@@ -377,10 +366,7 @@ void TcpNetwork::io_read(Conn& c) {
       io_close_conn(c.fd, "recv failed");
       return;
     }
-    {
-      std::lock_guard<std::mutex> g(counters_mu_);
-      counters_.bytes_received += static_cast<std::uint64_t>(n);
-    }
+    counters_.bytes_received.fetch_add(static_cast<std::uint64_t>(n), std::memory_order_relaxed);
     c.inbox.insert(c.inbox.end(), buf, buf + n);
     // Extract complete frames.
     std::size_t pos = 0;
@@ -418,10 +404,7 @@ void TcpNetwork::io_read(Conn& c) {
           BufferReader r(body + 1, payload_len);
           msg = SerializationRegistry::instance().deserialize(r);
         }
-        {
-          std::lock_guard<std::mutex> g(counters_mu_);
-          ++counters_.messages_received;
-        }
+        counters_.messages_received.fetch_add(1, std::memory_order_relaxed);
         telemetry::Telemetry& tel = runtime().telemetry();
         if (traced && tel.tracing_enabled()) {
           // Continue the sender's trace: a local net-recv span bridges the
@@ -472,8 +455,11 @@ void TcpNetwork::io_close_conn(int fd, const char* reason) {
 }
 
 TcpNetwork::Counters TcpNetwork::counters() const {
-  std::lock_guard<std::mutex> g(counters_mu_);
-  return counters_;
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  return {counters_.messages_sent.load(kRelaxed),      counters_.messages_received.load(kRelaxed),
+          counters_.bytes_sent.load(kRelaxed),         counters_.bytes_received.load(kRelaxed),
+          counters_.connections_opened.load(kRelaxed), counters_.connections_accepted.load(kRelaxed),
+          counters_.send_failures.load(kRelaxed),      counters_.reconnects.load(kRelaxed)};
 }
 
 std::vector<std::pair<std::string, std::uint64_t>> TcpNetwork::metric_samples() const {

@@ -36,6 +36,7 @@ class TcpNetwork : public ComponentDefinition {
   };
 
   struct Init : kompics::Init {
+    KOMPICS_EVENT(TcpNetwork::Init, kompics::Init);
     explicit Init(Address self) : self(self) {}
     Init(Address self, Options opts) : self(self), options(opts) {}
     Address self;
@@ -131,8 +132,14 @@ class TcpNetwork : public ComponentDefinition {
   std::unordered_map<Address, int> out_by_peer_;    // outgoing conns
   std::unordered_map<Address, bool> seen_peers_;    // reconnect detection
 
-  mutable std::mutex counters_mu_;
-  Counters counters_;
+  // Relaxed atomics mirroring Counters: bumped by the I/O thread (and by
+  // handler threads for send failures), read field by field by counters().
+  struct LiveCounters {
+    std::atomic<std::uint64_t> messages_sent{0}, messages_received{0}, bytes_sent{0},
+        bytes_received{0}, connections_opened{0}, connections_accepted{0}, send_failures{0},
+        reconnects{0};
+  };
+  LiveCounters counters_;
 };
 
 }  // namespace kompics::net

@@ -108,6 +108,7 @@ class Timer : public PortType {
 /// event; read ->timeout_id() for cancellation.
 template <class T, class... Args>
 std::shared_ptr<const ScheduleTimeout> schedule(std::int64_t delay_ms, Args&&... args) {
+  kompics::detail::require_registered<T>();
   auto payload = std::make_shared<const T>(fresh_timeout_id(), std::forward<Args>(args)...);
   return std::make_shared<const ScheduleTimeout>(delay_ms, std::move(payload));
 }
@@ -117,6 +118,7 @@ template <class T, class... Args>
 std::shared_ptr<const SchedulePeriodicTimeout> schedule_periodic(std::int64_t initial_delay_ms,
                                                                  std::int64_t period_ms,
                                                                  Args&&... args) {
+  kompics::detail::require_registered<T>();
   auto payload = std::make_shared<const T>(fresh_timeout_id(), std::forward<Args>(args)...);
   return std::make_shared<const SchedulePeriodicTimeout>(initial_delay_ms, period_ms,
                                                          std::move(payload));

@@ -27,6 +27,7 @@ namespace kompics::web {
 class CatsWebApp : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(CatsWebApp::Init, kompics::Init);
     Init(cats::NodeRef self, DurationMs refresh_ms = 1000) : self(self), refresh_ms(refresh_ms) {}
     cats::NodeRef self;
     DurationMs refresh_ms;
@@ -104,6 +105,7 @@ class CatsWebApp : public ComponentDefinition {
 
  private:
   struct Refresh : timing::Timeout {
+    KOMPICS_EVENT(CatsWebApp::Refresh, timing::Timeout);
     using Timeout::Timeout;
   };
 

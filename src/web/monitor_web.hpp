@@ -26,6 +26,7 @@ namespace kompics::web {
 class MonitorWebApp : public ComponentDefinition {
  public:
   struct Init : kompics::Init {
+    KOMPICS_EVENT(MonitorWebApp::Init, kompics::Init);
     explicit Init(cats::MonitorServer* server) : server(server) {}
     /// Must outlive this component (both normally live under one parent).
     cats::MonitorServer* server;

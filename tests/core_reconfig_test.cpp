@@ -18,6 +18,8 @@ namespace kompics::test {
 namespace {
 
 class Num : public Event {
+  KOMPICS_EVENT(Num, Event);
+
  public:
   explicit Num(int n) : n(n) {}
   int n;
@@ -168,6 +170,7 @@ TEST(Channels, DisconnectDropsSubsequentTraffic) {
 class Relay : public ComponentDefinition {
  public:
   struct SetDelta : Init {
+    KOMPICS_EVENT(SetDelta, Init);
     explicit SetDelta(int d) : delta(d) {}
     int delta;
   };
@@ -281,7 +284,9 @@ TEST(Reconfiguration, ReplaceUnderLiveTrafficDropsNothing) {
 // events hold no work ticket, so retiring must itself schedule the pass
 // that forwards them to the replacement.
 
-class Block : public Event {};
+class Block : public Event {
+  KOMPICS_EVENT(Block, Event);
+};
 
 class BlockPort : public PortType {
  public:

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <random>
 
 #include "cats/messages.hpp"
@@ -107,6 +108,71 @@ TEST(Kz, MalformedInputThrows) {
   EXPECT_THROW(kz::decompress(bogus), std::runtime_error);
 }
 
+// Hostile streams must be rejected before any expansion: a throw that only
+// comes after filling the declared (or overrun) size is the defect itself,
+// so each rejection is also held to a wall-clock bound far below the time
+// such a fill takes.
+void expect_rejected_at_once(const Bytes& stream) {
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(kz::decompress(stream), std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::milliseconds(500));
+}
+
+/// A kz stream declaring `declared` bytes: one literal run, then one match.
+Bytes hostile_stream(std::uint64_t declared, const Bytes& literal, std::uint64_t distance,
+                     std::uint64_t length) {
+  Bytes out;
+  BufferWriter w(out);
+  w.var_u64(declared);
+  w.u8(0x00);
+  w.var_u64(literal.size());
+  w.raw(literal.data(), literal.size());
+  w.u8(0x01);
+  w.var_u64(distance);
+  w.var_u64(length);
+  return out;
+}
+
+TEST(Kz, FifteenByteFrameCannotDemandGigabytes) {
+  // Declared size 2^31+1, one literal, one match of length 2^31: without
+  // bounds the receiver fills 2 GiB from 15 bytes of input.
+  const Bytes stream = hostile_stream((1ull << 31) + 1, {0x61}, 1, 1ull << 31);
+  ASSERT_EQ(stream.size(), 15u);
+  expect_rejected_at_once(stream);
+}
+
+TEST(Kz, DeclaredSizeAboveFrameLimitIsRejected) {
+  Bytes stream;
+  BufferWriter w(stream);
+  w.var_u64(1ull << 40);
+  w.u8(0x00);
+  w.var_u64(1);
+  w.u8(0x61);
+  expect_rejected_at_once(stream);
+  // The limit itself is shared with the TCP frame bound: one byte over fails.
+  Bytes over;
+  BufferWriter wo(over);
+  wo.var_u64(kMaxFrame + 1);
+  expect_rejected_at_once(over);
+}
+
+TEST(Kz, TokensOverrunningTheDeclaredSizeAreRejected) {
+  // A small declared size followed by a match far longer than what is left.
+  expect_rejected_at_once(hostile_stream(16, {0x61}, 1, 1ull << 31));
+  // Overrun by a single byte, by a match and by a literal run.
+  expect_rejected_at_once(hostile_stream(8, {0x61}, 1, 8));
+  const Bytes literal(9, 0x61);
+  Bytes stream;
+  BufferWriter w(stream);
+  w.var_u64(8);
+  w.u8(0x00);
+  w.var_u64(literal.size());
+  w.raw(literal.data(), literal.size());
+  expect_rejected_at_once(stream);
+  // The exact fit still decodes.
+  EXPECT_EQ(kz::decompress(hostile_stream(8, {0x61}, 1, 7)), Bytes(8, 0x61));
+}
+
 class KzRandomRoundTrip : public ::testing::TestWithParam<int> {};
 
 TEST_P(KzRandomRoundTrip, RoundTripsExactly) {
@@ -132,6 +198,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, KzRandomRoundTrip, ::testing::Range(0, 25));
 // ---- serialization registry -------------------------------------------------
 
 class TestPing : public Message {
+  KOMPICS_EVENT(TestPing, Message);
+
  public:
   TestPing(Address s, Address d, std::uint64_t n, std::string text)
       : Message(s, d), n(n), text(std::move(text)) {}
@@ -192,6 +260,8 @@ TEST(Serialization, LookupResultKeepsViewRange) {
 }
 
 class Unregistered : public Message {
+  KOMPICS_EVENT(Unregistered, Message);
+
  public:
   using Message::Message;
 };
