@@ -115,6 +115,7 @@ ConsistentABD::ConsistentABD() {
     fields["ops_inflight"] = std::to_string(ops_.size());
     fields["puts_ok"] = std::to_string(counters_.puts_ok);
     fields["gets_ok"] = std::to_string(counters_.gets_ok);
+    fields["gets_imposed"] = std::to_string(counters_.gets_imposed);
     fields["ops_failed"] = std::to_string(counters_.ops_failed);
     fields["retries"] = std::to_string(counters_.retries);
     fields["ranges_held"] = std::to_string(ranges_.size());
@@ -162,13 +163,14 @@ protocol::Proto<void> ConsistentABD::run_op(OpId internal) {
       // (A retried put whose tag is already fixed goes straight to idempotent
       // write retransmission; a fresh read phase must not re-tag the value.)
       ok = co_await read_round(internal, deadline);
-      if (ok && op.type == OpType::kGet && !op.max_exists) {
-        complete_op(op, true);  // nothing to impose: answer "not found"
+      if (ok && op.type == OpType::kGet && op.max_acks >= op.quorum) {
+        complete_op(op, true);  // the read quorum already holds the max: nothing to impose
         co_return;
       }
     }
     if (ok) ok = co_await write_round(internal, deadline);
     if (ok) {
+      if (op.type == OpType::kGet) ++counters_.gets_imposed;
       complete_op(op, true);
       co_return;
     }
@@ -204,9 +206,6 @@ protocol::Proto<bool> ConsistentABD::lookup_round(OpId internal,
   op.phase = Phase::kLookup;
   op.acked.clear();
   op.nacked.clear();
-  op.max_tag = VersionTag{};
-  op.max_exists = false;
-  op.max_value.clear();
   const OpId wid = wire_id(internal, op.attempt);
   // Open the stream BEFORE asking: a same-thread router can answer inline.
   auto responses = co_await router_.open<LookupResponse>(
@@ -316,6 +315,10 @@ protocol::Proto<bool> ConsistentABD::quorum_round(OpId internal,
 protocol::Proto<bool> ConsistentABD::read_round(OpId internal,
                                                 protocol::ArmedTimer& deadline) {
   Op& op = ops_.at(internal);
+  op.max_tag = VersionTag{};
+  op.max_exists = false;
+  op.max_value.clear();
+  op.max_acks = 0;
   return quorum_round<AbdReadAckMsg>(
       internal, deadline, Phase::kRead,
       [this, &op](OpId wid) {
@@ -328,7 +331,9 @@ protocol::Proto<bool> ConsistentABD::read_round(OpId internal,
           op.max_tag = ack.tag;
           op.max_exists = ack.exists;
           op.max_value = ack.value;
+          op.max_acks = 0;
         }
+        if (ack.tag == op.max_tag && ack.exists == op.max_exists) ++op.max_acks;
       });
 }
 

@@ -8,9 +8,14 @@
 // Put(k, v):  phase 1 queries a majority of the group for version tags and
 //             picks max; phase 2 writes (max.counter + 1, self) to a
 //             majority.
-// Get(k):     phase 1 reads (tag, value) from a majority; phase 2 imposes
-//             the maximum back onto a majority before responding (the ABD
-//             write-back, which is what makes concurrent reads linearizable).
+// Get(k):     phase 1 reads (tag, value) from a majority. If every counted
+//             ack carries the maximum tag, the get answers right away;
+//             otherwise phase 2 imposes the maximum back onto a majority
+//             before responding (the ABD write-back, which is what makes
+//             concurrent reads linearizable). Skipping it is safe because
+//             replica stores never regress: a majority of the view already
+//             holding the max tag is exactly the state a write-back acked
+//             by that majority would leave.
 //
 // Consistent quorums (CATS tech report [11]): every replica group is a
 // versioned view over a key range. Phase messages carry the view version
@@ -65,6 +70,7 @@ class ConsistentABD : public ComponentDefinition {
   struct Counters {
     std::uint64_t puts_ok = 0;
     std::uint64_t gets_ok = 0;
+    std::uint64_t gets_imposed = 0;  ///< gets_ok that needed the write-back round
     std::uint64_t ops_failed = 0;
     std::uint64_t retries = 0;
     // Phase the op was in when it finally gave up (diagnosis of failures).
@@ -128,6 +134,7 @@ class ConsistentABD : public ComponentDefinition {
     VersionTag max_tag{};
     bool max_exists = false;
     Value max_value;
+    std::size_t max_acks = 0;  ///< counted read acks carrying (max_tag, max_exists)
     int retries_left = 0;
     std::uint8_t attempt = 0;  ///< retry epoch, embedded in wire op ids
     // A put chooses its version tag exactly once. Retries retransmit the

@@ -14,6 +14,7 @@
 #include "cats/abd.hpp"
 #include "sim/sim_timer.hpp"
 #include "sim/simulation.hpp"
+#include "web/cats_web.hpp"
 
 namespace kompics::cats::test {
 namespace {
@@ -156,11 +157,25 @@ class World : public ComponentDefinition {
   std::vector<StatusResponse> statuses;
 };
 
-struct AbdFixture : ::testing::Test {
-  AbdFixture() : sim(Config{}, 9) {
-    main = sim.bootstrap<World>(&sim.core());
+/// World plus the node's web app, which renders ConsistentABD's Status
+/// fields on the node's /metrics page.
+class MetricsWorld : public World {
+ public:
+  explicit MetricsWorld(sim::SimulatorCore* core) : World(core) {
+    app = create<web::CatsWebApp>();
+    app.control()->trigger(make_event<web::CatsWebApp::Init>(self, /*refresh_ms=*/100));
+    connect(app.required<Status>(), abd.provided<Status>());
+    connect(app.required<timing::Timer>(), timer.provided<timing::Timer>());
+  }
+  Component app;
+};
+
+template <class W>
+struct WorldFixture : ::testing::Test {
+  WorldFixture() : sim(Config{}, 9) {
+    main = sim.bootstrap<W>(&sim.core());
     sim.run_until(1);
-    world = &main.definition_as<World>();
+    world = &main.definition_as<W>();
     // Default group of 3 replicas (the coordinator is NOT a member here —
     // the protocol must not care).
     world->h().group = {NodeRef{10, Address::node(10)}, NodeRef{20, Address::node(20)},
@@ -170,8 +185,10 @@ struct AbdFixture : ::testing::Test {
 
   Simulation sim;
   Component main;
-  World* world = nullptr;
+  W* world = nullptr;
 };
+using AbdFixture = WorldFixture<World>;
+using AbdMetricsFixture = WorldFixture<MetricsWorld>;
 
 // The happy-path quorum tests (PutRunsReadThenWritePhaseAndAcksAtQuorum,
 // GetImposesMaxValueBeforeResponding, DuplicatedAcksFromOneReplicaDoNot-
@@ -203,6 +220,34 @@ TEST_F(AbdFixture, GetOfAbsentKeySkipsImpose) {
   ASSERT_EQ(world->get_responses.size(), 1u);
   EXPECT_TRUE(world->get_responses[0].ok);
   EXPECT_FALSE(world->get_responses[0].found);
+}
+
+TEST_F(AbdMetricsFixture, GetsImposedShowsOnTheMetricsPage) {
+  auto& h = world->h();
+  // An absent key: the read quorum agrees, so the get takes one round.
+  world->get(1, 8);
+  step();
+  h.read_ack(h.reads[0], VersionTag{}, false, {}, Address::node(10));
+  h.read_ack(h.reads[1], VersionTag{}, false, {}, Address::node(20));
+  step();
+  // Replicas disagree: this get writes the max back first.
+  world->get(2, 9);
+  step();
+  h.read_ack(h.reads[3], VersionTag{3, 50}, true, Value{0xA}, Address::node(10));
+  h.read_ack(h.reads[4], VersionTag{5, 60}, true, Value{0xB}, Address::node(20));
+  step();
+  ASSERT_EQ(h.writes.size(), 3u);
+  h.write_ack(h.writes[0], Address::node(10));
+  h.write_ack(h.writes[1], Address::node(20));
+  step();
+  ASSERT_EQ(world->get_responses.size(), 2u);
+  sim.run_until(sim.now() + 300);  // a web-app refresh pulls the Status fields
+
+  const std::string metrics = world->app.definition_as<web::CatsWebApp>().render_metrics();
+  EXPECT_NE(metrics.find("cats_consistentabd_gets_ok{node=\"1\"} 2"), std::string::npos)
+      << metrics;
+  EXPECT_NE(metrics.find("cats_consistentabd_gets_imposed{node=\"1\"} 1"), std::string::npos)
+      << "the share of gets that needed a write-back is scrapeable";
 }
 
 TEST_F(AbdFixture, RetriedPutRetransmitsTheSameTag) {

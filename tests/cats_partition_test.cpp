@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "cats/abd.hpp"
 #include "cats/cats_simulator.hpp"
 #include "cats/linearizability.hpp"
@@ -27,8 +30,9 @@ class SimMain : public ComponentDefinition {
 };
 
 struct PartitionWorld {
-  PartitionWorld() : simulation(Config{}, 99) {
-    hub = std::make_shared<SimNetworkHub>(&simulation.core(), 4, LinkModel{1, 5, 0.0, false});
+  explicit PartitionWorld(LinkModel link = LinkModel{1, 5, 0.0, false})
+      : simulation(Config{}, 99) {
+    hub = std::make_shared<SimNetworkHub>(&simulation.core(), 4, link);
     CatsParams params;
     params.op_timeout_ms = 600;
     params.op_max_retries = 2;
@@ -168,6 +172,67 @@ TEST(CatsPartition, PartialPartitionCannotCommitOnBothSides) {
   }
   EXPECT_EQ(puts_ok, hist_puts_ok);
   EXPECT_EQ(gets_ok, hist_gets_ok);
+  const auto lin = check_history(h);
+  EXPECT_TRUE(lin.linearizable) << lin.explanation;
+}
+
+TEST(CatsPartition, GetWritesBackAValueOnlyOneReplicaHolds) {
+  // The new-old inversion a get's write-back exists to prevent. A put reaches
+  // only replica A of the key's group {A, B, C}; get 1 reads {A, B} and
+  // returns the new value; get 2 then reads {B, C}. Unless get 1 imposed the
+  // value on a majority, get 2 sees only old copies and answers "not found"
+  // after get 1 returned the new value. One-way cuts pick each quorum; the
+  // fixed link latency puts the put's read and write phases at known times.
+  PartitionWorld w(LinkModel{10, 10, 0.0, false});
+  const RingKey k = hash_to_ring("inversion");
+  std::optional<GroupView> view;
+  for (std::uint64_t id : {10, 20, 30, 40, 50}) {
+    auto v = w.cats->node(id).abd.definition_as<ConsistentABD>().view_covering(k);
+    if (v && (!view || v->version > view->version)) view = v;
+  }
+  ASSERT_TRUE(view.has_value());
+  ASSERT_EQ(view->members.size(), 3u);
+  std::vector<std::uint32_t> group;  // hosts A, B, C
+  std::vector<std::uint64_t> others;  // coordinators outside the group
+  for (const auto& m : view->members) group.push_back(m.addr.host);
+  for (std::uint64_t id : {10, 20, 30, 40, 50}) {
+    if (!view->has_member(w.cats->node(id).self().addr)) others.push_back(id);
+  }
+  ASSERT_EQ(others.size(), 2u);
+  const std::uint64_t writer = others[0];
+  const std::uint64_t reader = others[1];
+  const std::uint32_t writer_host = PartitionWorld::host(writer);
+  const std::uint32_t reader_host = PartitionWorld::host(reader);
+  auto& reader_abd = w.cats->node(reader).abd.definition_as<ConsistentABD>();
+
+  // Both coordinators cache the key's view, so their next ops skip the lookup.
+  w.cats->get(writer, k);
+  w.cats->get(reader, k);
+  w.settle(200);
+
+  // The put's reads land at +10 ms and its writes leave at +20 ms: cutting
+  // the writer off from B and C in between leaves the value at A only.
+  w.cats->put(writer, k, Value{7});
+  w.settle(15);
+  w.hub->partition_oneway({writer_host}, {group[1], group[2]});
+  w.settle(100);
+
+  w.hub->partition_oneway({reader_host}, {group[2]});  // get 1 reads {A, B}
+  const std::size_t get1 = *w.cats->get(reader, k);
+  w.settle(100);
+  w.hub->heal();
+  w.hub->partition_oneway({writer_host}, {group[1], group[2]});
+  w.hub->partition_oneway({reader_host}, {group[0]});  // get 2 reads {B, C}
+  const std::size_t get2 = *w.cats->get(reader, k);
+  w.settle(100);
+  w.hub->heal();
+  w.settle(3000);
+
+  const auto& h = w.cats->history();
+  ASSERT_TRUE(h[get1].ok && h[get1].found);
+  EXPECT_EQ(h[get1].got_value, Value{7}) << "get 1 must see the value at A";
+  ASSERT_TRUE(h[get2].ok);
+  EXPECT_GE(reader_abd.counters().gets_imposed, 1u);
   const auto lin = check_history(h);
   EXPECT_TRUE(lin.linearizable) << lin.explanation;
 }

@@ -85,6 +85,34 @@ struct AbdDslTest : ::testing::Test {
         });
   }
 
+  // Starts get `id` of `key`, answers its lookup under view 1 and captures
+  // the three reads it sends.
+  TestContext& get_reads(OpId id, RingKey key, std::vector<AbdReadMsg>& reads) {
+    ctx->trigger(putget, make_event<GetRequest>(id, key));
+    return answer_lookup(1, false)
+        .repeat(3)
+        .expect<AbdReadMsg>(net, [&reads](const AbdReadMsg& m) { reads.push_back(m); })
+        .end_repeat();
+  }
+
+  // Expects the write-back of (tag, value) to the whole group, acks it from
+  // two replicas and expects the get to answer with the value.
+  TestContext& get_imposes(VersionTag tag, Value value, std::vector<AbdWriteMsg>& writes) {
+    return ctx->repeat(3)
+        .expect<AbdWriteMsg>(net, [&writes](const AbdWriteMsg& m) { writes.push_back(m); })
+        .end_repeat()
+        .exec([&writes, tag, value] {
+          ASSERT_EQ(writes.size(), 3u);
+          EXPECT_EQ(writes[0].tag, tag) << "impose carries the max tag";
+          EXPECT_EQ(writes[0].value, value);
+        })
+        .trigger(net, [this, &writes] { return write_ack(writes[0], Address::node(10)); })
+        .trigger(net, [this, &writes] { return write_ack(writes[1], Address::node(20)); })
+        .expect<GetResponse>(putget, [value](const GetResponse& r) {
+          return r.ok && r.found && r.value == value;
+        });
+  }
+
   NodeRef self{100, Address::node(1)};
   // The coordinator is NOT a group member here — the protocol must not care.
   std::vector<NodeRef> group{NodeRef{10, Address::node(10)}, NodeRef{20, Address::node(20)},
@@ -166,6 +194,98 @@ TEST_F(AbdDslTest, GetImposesMaxValueBeforeResponding) {
 
   const Result result = ctx->check();
   EXPECT_TRUE(result.ok) << result.message;
+}
+
+// ---- one-round gets: the write-back only when the read quorum disagrees ----
+
+TEST_F(AbdDslTest, GetOfAgreeingQuorumAnswersWithoutWriteBack) {
+  std::vector<AbdReadMsg> reads;
+  get_reads(3, 7, reads)
+      // Both counted acks carry the max tag: a majority already holds it.
+      .trigger(net, [&] {
+        return read_ack(reads[0], VersionTag{5, 60}, true, Value{0xB}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads[1], VersionTag{5, 60}, true, Value{0xB}, Address::node(20));
+      })
+      .expect<GetResponse>(putget, [](const GetResponse& r) {
+        return r.ok && r.id == 3 && r.found && r.value == Value{0xB};
+      })
+      .expect_silence(200);  // no AbdWriteMsg follows: nothing was imposed
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().gets_ok, 1u);
+  EXPECT_EQ(abd().counters().gets_imposed, 0u);
+}
+
+TEST_F(AbdDslTest, GetImposesWhenAnOlderAckFollowsTheMax) {
+  std::vector<AbdReadMsg> reads;
+  std::vector<AbdWriteMsg> writes;
+  get_reads(3, 7, reads)
+      .trigger(net, [&] {
+        return read_ack(reads[0], VersionTag{5, 60}, true, Value{0xB}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads[1], VersionTag{3, 50}, true, Value{0xA}, Address::node(20));
+      });
+  get_imposes(VersionTag{5, 60}, Value{0xB}, writes);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().gets_imposed, 1u);
+}
+
+TEST_F(AbdDslTest, DuplicatedMaxTagAckDoesNotMakeTheQuorumUnanimous) {
+  // Two copies of replica 10's ack agree with each other, not with a
+  // majority: only deduplicated acks may count toward unanimity.
+  std::vector<AbdReadMsg> reads;
+  std::vector<AbdWriteMsg> writes;
+  get_reads(3, 7, reads)
+      .trigger(net, [&] {
+        return read_ack(reads[0], VersionTag{5, 60}, true, Value{0xB}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads[0], VersionTag{5, 60}, true, Value{0xB}, Address::node(10));
+      })
+      .trigger(net, [&] {
+        return read_ack(reads[1], VersionTag{3, 50}, true, Value{0xA}, Address::node(20));
+      });
+  get_imposes(VersionTag{5, 60}, Value{0xB}, writes);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+}
+
+TEST_F(AbdDslTest, RetriedGetCountsOnlyTheRetrysAcks) {
+  std::vector<AbdReadMsg> reads;
+  std::vector<AbdReadMsg> retry_reads;
+  std::vector<AbdWriteMsg> writes;
+  // Attempt 0 hears one replica only and hits its deadline.
+  get_reads(3, 7, reads).trigger(net, [&] {
+    return read_ack(reads[0], VersionTag{5, 60}, true, Value{0xB}, Address::node(10));
+  });
+  answer_lookup(1, false)
+      .repeat(3)
+      .expect<AbdReadMsg>(net, [&](const AbdReadMsg& m) { retry_reads.push_back(m); })
+      .end_repeat()
+      // A late copy of attempt 0's ack from replica 30 matches no round.
+      .trigger(net, [&] {
+        return read_ack(reads[2], VersionTag{5, 60}, true, Value{0xB}, Address::node(30));
+      })
+      // The retry's own quorum disagrees, whatever attempt 0 heard.
+      .trigger(net, [&] {
+        return read_ack(retry_reads[1], VersionTag{5, 60}, true, Value{0xB}, Address::node(20));
+      })
+      .trigger(net, [&] {
+        return read_ack(retry_reads[2], VersionTag{3, 50}, true, Value{0xA}, Address::node(30));
+      });
+  get_imposes(VersionTag{5, 60}, Value{0xB}, writes);
+
+  const Result result = ctx->check();
+  EXPECT_TRUE(result.ok) << result.message;
+  EXPECT_EQ(abd().counters().retries, 1u);
+  EXPECT_EQ(abd().counters().gets_imposed, 1u);
 }
 
 TEST_F(AbdDslTest, DuplicatedAcksFromOneReplicaDoNotCompleteQuorum) {
